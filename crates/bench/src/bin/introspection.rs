@@ -156,22 +156,89 @@ fn alloc_ns_per_op() -> f64 {
     t0.elapsed().as_nanos() as f64 / OPS as f64
 }
 
-/// Kernel microbench: ns per FTRAN on a fixed-seed sparse basis, sparse LU
-/// versus the retired dense-inverse algorithm (rebuilt here as the
-/// comparator). Returns a JSON object for the bench document.
-fn kernel_microbench(seed: u64) -> Json {
-    const M: usize = 200;
-    const OFF_DIAG: usize = 3 * M;
-    // splitmix64 — the repo-wide deterministic stream.
+/// Uniform `[0, 1)` draws from splitmix64, the repo-wide deterministic
+/// stream.
+fn unit_stream(seed: u64) -> impl FnMut() -> f64 {
     let mut state = seed;
-    let mut next_u64 = move || {
+    move || {
         state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
         let mut z = state;
         z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
-    let mut unit = move || (next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+        ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+    }
+}
+
+/// Factorize rung: ns per `factorize` of a fixed-seed synthetic basis shaped
+/// like a real one. Of its `m` columns, `singletons` are slack-like unit
+/// columns; `nnz − m` off-diagonal entries are spread over the structural
+/// rest, nearly all below the diagonal, so the basis is almost triangular
+/// and fills in by a few percent. The call sites match the warm bases of
+/// the small preset (seeds 1 and 3, flex 1): cΣ (m = 521, ~290
+/// singletons, ~1.8k nonzeros) and Σ (m = 1326, ~890 singletons, ~9.8k
+/// nonzeros), whose LU holds 1–2% more nonzeros than the basis.
+/// Refactorizing one `BasisFactor` repeatedly is the simplex's own
+/// pattern, so the timing includes workspace reuse.
+fn factorize_rung(label: &str, m: usize, singletons: usize, nnz: usize, seed: u64) -> Json {
+    let mut unit = unit_stream(seed);
+    let mut entries: Vec<Vec<(usize, f64)>> =
+        (0..m).map(|c| vec![(c, 1.0 + 2.0 * unit())]).collect();
+    let structural = m - singletons;
+    for _ in 0..nnz - m {
+        let c = (unit() * structural as f64) as usize % structural;
+        let r = if unit() < 0.004 {
+            (unit() * m as f64) as usize % m
+        } else {
+            c + 1 + (unit() * (m - c - 1) as f64) as usize % (m - c - 1)
+        };
+        let v = unit() - 0.5;
+        if v != 0.0 && !entries[c].iter().any(|&(rr, _)| rr == r) {
+            entries[c].push((r, v));
+        }
+    }
+    let mut cols = CscMatrix::empty(m);
+    for col in &mut entries {
+        col.sort_unstable_by_key(|&(r, _)| r);
+        cols.push_column(col);
+    }
+    let basis: Vec<usize> = (0..m).collect();
+    let mut factor = BasisFactor::default();
+    assert!(
+        factor.factorize(&cols, &basis, 0.1),
+        "{label} bench basis singular"
+    );
+
+    const REPS: usize = 40;
+    let mut best = f64::INFINITY;
+    for _ in 0..5 {
+        let t0 = Instant::now();
+        for _ in 0..REPS {
+            std::hint::black_box(factor.factorize(&cols, &basis, 0.1));
+        }
+        best = best.min(t0.elapsed().as_nanos() as f64 / REPS as f64);
+    }
+    eprintln!(
+        "[introspection] factorize {label} m={m} basis_nnz={} lu_nnz={}: {best:.0} ns",
+        cols.nnz(),
+        factor.lu_nnz()
+    );
+    Json::Obj(vec![
+        ("basis".into(), Json::from(label)),
+        ("m".into(), Json::from(m)),
+        ("basis_nnz".into(), Json::from(cols.nnz())),
+        ("lu_nnz".into(), Json::from(factor.lu_nnz())),
+        ("factorize_ns".into(), Json::from(best)),
+    ])
+}
+
+/// Kernel microbench: ns per FTRAN on a fixed-seed sparse basis, sparse LU
+/// versus the retired dense-inverse algorithm (rebuilt here as the
+/// comparator), plus the factorize rungs. Returns a JSON object for the
+/// bench document.
+fn kernel_microbench(seed: u64) -> Json {
+    const M: usize = 200;
+    const OFF_DIAG: usize = 3 * M;
+    let mut unit = unit_stream(seed);
 
     // Random sparse basis: dominant diagonal plus ~3m off-diagonal entries —
     // the density regime of a warm simplex basis (slacks + a structural
@@ -362,6 +429,13 @@ fn kernel_microbench(seed: u64) -> Json {
         (
             "pivot_speedup".into(),
             Json::from(pivot_dense_ns / pivot_sparse_ns),
+        ),
+        (
+            "factorize".into(),
+            Json::Arr(vec![
+                factorize_rung("csigma", 521, 290, 1_800, seed),
+                factorize_rung("sigma", 1_326, 890, 9_800, seed),
+            ]),
         ),
     ])
 }

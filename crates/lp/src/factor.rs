@@ -8,7 +8,10 @@
 //! * **Markowitz pivot selection.** At every elimination step the candidate
 //!   pivot `(i, j)` minimizes the fill proxy `(r_i − 1)(c_j − 1)` where
 //!   `r_i`/`c_j` are the active-submatrix row/column nonzero counts, searched
-//!   over the sparsest few active columns.
+//!   over the sparsest few active columns. Those come from count buckets
+//!   ([`CountBuckets`]) in `(count, column index)` order, so a step never
+//!   scans every column, and the elimination reuses one workspace across
+//!   calls.
 //! * **Threshold partial pivoting.** A candidate is numerically admissible
 //!   only when `|a_ij| ≥ markowitz_tol · max_i |a_ij|` within its column, so
 //!   sparsity can be traded against growth ([`crate::Params::markowitz_tol`]).
@@ -44,6 +47,220 @@ const MARKOWITZ_CANDIDATES: usize = 4;
 /// dense factorization's singularity cutoff.
 const ABS_PIVOT_MIN: f64 = 1e-12;
 
+/// Column counts below this each get their own bucket in [`CountBuckets`];
+/// counts at or above it share one overflow bucket. That keeps the buckets
+/// at `O(m)` words whatever the fill, and an overflow search only happens
+/// once fewer than [`MARKOWITZ_CANDIDATES`] active columns are sparser.
+const COUNT_BUCKETS: usize = 64;
+
+/// The active columns of an elimination, bucketed by nonzero count so the
+/// Markowitz candidates — the [`MARKOWITZ_CANDIDATES`] columns smallest by
+/// `(count, column index)` — are found without touching every column. Each
+/// bucket is a bitset over column indices, so it yields its members
+/// lowest-index-first; a count change moves one bit.
+#[derive(Debug, Clone, Default)]
+struct CountBuckets {
+    /// `u64` words per bucket bitset.
+    words: usize,
+    /// `COUNT_BUCKETS + 1` bitsets of `words` words each, the last one the
+    /// overflow bucket.
+    bits: Vec<u64>,
+    /// Members per bucket.
+    len: Vec<usize>,
+    /// Current nonzero count per column (meaningful while active).
+    count: Vec<usize>,
+    active: Vec<bool>,
+    /// No non-empty bucket lies below this one.
+    lowest: usize,
+}
+
+impl CountBuckets {
+    /// Empties the structure for `m` columns, keeping its capacity.
+    fn reset(&mut self, m: usize) {
+        self.words = m.div_ceil(64);
+        self.bits.clear();
+        self.bits.resize((COUNT_BUCKETS + 1) * self.words, 0);
+        self.len.clear();
+        self.len.resize(COUNT_BUCKETS + 1, 0);
+        self.count.clear();
+        self.count.resize(m, 0);
+        self.active.clear();
+        self.active.resize(m, false);
+        self.lowest = COUNT_BUCKETS;
+    }
+
+    fn bucket(count: usize) -> usize {
+        count.min(COUNT_BUCKETS)
+    }
+
+    fn link(&mut self, j: usize) {
+        let b = Self::bucket(self.count[j]);
+        self.bits[b * self.words + j / 64] |= 1 << (j % 64);
+        self.len[b] += 1;
+        self.lowest = self.lowest.min(b);
+    }
+
+    fn unlink(&mut self, j: usize) {
+        let b = Self::bucket(self.count[j]);
+        self.bits[b * self.words + j / 64] &= !(1 << (j % 64));
+        self.len[b] -= 1;
+    }
+
+    /// Activates column `j` with `count` nonzeros.
+    fn insert(&mut self, j: usize, count: usize) {
+        self.count[j] = count;
+        self.active[j] = true;
+        self.link(j);
+    }
+
+    /// Retires active column `j`.
+    fn remove(&mut self, j: usize) {
+        self.unlink(j);
+        self.active[j] = false;
+    }
+
+    /// Sets the count of active column `j`.
+    fn set_count(&mut self, j: usize, count: usize) {
+        if Self::bucket(count) == Self::bucket(self.count[j]) {
+            self.count[j] = count;
+        } else {
+            self.unlink(j);
+            self.count[j] = count;
+            self.link(j);
+        }
+    }
+
+    /// Writes the (at most) `k` active columns smallest by `(count, index)`
+    /// into `out`, in that order.
+    fn smallest(&mut self, k: usize, out: &mut Vec<usize>) {
+        out.clear();
+        while self.lowest < COUNT_BUCKETS && self.len[self.lowest] == 0 {
+            self.lowest += 1;
+        }
+        for b in self.lowest..=COUNT_BUCKETS {
+            if self.len[b] == 0 {
+                continue;
+            }
+            let words = &self.bits[b * self.words..(b + 1) * self.words];
+            for (w, &word) in words.iter().enumerate() {
+                let mut x = word;
+                while x != 0 {
+                    let j = w * 64 + x.trailing_zeros() as usize;
+                    x &= x - 1;
+                    if b < COUNT_BUCKETS {
+                        out.push(j);
+                        if out.len() == k {
+                            return;
+                        }
+                    } else {
+                        // Overflow members differ in count: insertion-sort
+                        // them behind the sparser buckets' picks.
+                        let pos = out
+                            .iter()
+                            .position(|&c| self.count[j] < self.count[c])
+                            .unwrap_or(out.len());
+                        if pos < k {
+                            if out.len() == k {
+                                out.pop();
+                            }
+                            out.insert(pos, j);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn memory_bytes(&self) -> usize {
+        self.bits.capacity() * std::mem::size_of::<u64>()
+            + (self.len.capacity() + self.count.capacity()) * std::mem::size_of::<usize>()
+            + self.active.capacity()
+    }
+}
+
+/// Scratch state of one elimination, owned by [`LuFactors`] so repeated
+/// factorizations reuse its buffers: cleared on every call, capacity kept.
+/// Each row and column keeps its own buffer, so the held memory tracks the
+/// per-row and per-column lengths seen — `O(nnz(B) + fill + m)`.
+#[derive(Debug, Clone, Default)]
+struct LuWorkspace {
+    /// Active submatrix, row-major with sorted column entries. The row
+    /// invariant — only active columns appear — keeps the nonzero counts
+    /// exact without a cleanup sweep.
+    rows: Vec<Vec<(usize, f64)>>,
+    /// Per-column candidate row lists, validated lazily against
+    /// `row_active` (rows are never edited out on deactivation).
+    colrows: Vec<Vec<usize>>,
+    row_active: Vec<bool>,
+    buckets: CountBuckets,
+    /// The pivot row of the current step.
+    prow: Vec<(usize, f64)>,
+    /// Entry scratch: a merged row, a candidate column's live entries, or
+    /// an `L` column being sorted.
+    merge: Vec<(usize, f64)>,
+    cand: Vec<usize>,
+    /// Rows of `U` in elimination order (`u_start[k]..u_start[k + 1]`),
+    /// transposed into the column-stored triangle at the end.
+    u_start: Vec<usize>,
+    u_col: Vec<usize>,
+    u_val: Vec<f64>,
+    /// Per-column write cursor of that transpose.
+    u_next: Vec<usize>,
+}
+
+impl LuWorkspace {
+    /// Loads the basis columns as the initial active submatrix.
+    fn load(&mut self, cols: &CscMatrix, basis: &[usize]) {
+        let m = basis.len();
+        self.rows.truncate(m);
+        self.rows.iter_mut().for_each(Vec::clear);
+        self.rows.resize_with(m, Vec::new);
+        self.colrows.truncate(m);
+        self.colrows.iter_mut().for_each(Vec::clear);
+        self.colrows.resize_with(m, Vec::new);
+        self.row_active.clear();
+        self.row_active.resize(m, true);
+        self.buckets.reset(m);
+        for (c, &j) in basis.iter().enumerate() {
+            let (ridx, vals) = cols.column(j);
+            for (&r, &v) in ridx.iter().zip(vals) {
+                self.rows[r].push((c, v));
+                self.colrows[c].push(r);
+            }
+            self.buckets.insert(c, ridx.len());
+        }
+        self.u_start.clear();
+        self.u_start.push(0);
+        self.u_col.clear();
+        self.u_val.clear();
+    }
+
+    fn memory_bytes(&self) -> usize {
+        let f = std::mem::size_of::<f64>();
+        let u = std::mem::size_of::<usize>();
+        let e = std::mem::size_of::<(usize, f64)>();
+        let v = std::mem::size_of::<Vec<()>>();
+        self.rows
+            .iter()
+            .map(|r| v + r.capacity() * e)
+            .sum::<usize>()
+            + self
+                .colrows
+                .iter()
+                .map(|c| v + c.capacity() * u)
+                .sum::<usize>()
+            + self.row_active.capacity()
+            + self.buckets.memory_bytes()
+            + (self.prow.capacity() + self.merge.capacity()) * e
+            + (self.cand.capacity()
+                + self.u_start.capacity()
+                + self.u_col.capacity()
+                + self.u_next.capacity())
+                * u
+            + self.u_val.capacity() * f
+    }
+}
+
 /// Sparse LU factors `P B Q = L U` of one basis, stored column-wise in pivot
 /// order. Immutable after [`LuFactors::factorize`]; shared solves only need
 /// a caller-provided workspace, so `&self` methods serve both the hot path
@@ -72,6 +289,7 @@ pub struct LuFactors {
     u_diag: Vec<f64>,
     /// `max|u_kk| / min|u_kk|` of the fresh factorization.
     u_diag_ratio: f64,
+    work: LuWorkspace,
 }
 
 impl LuFactors {
@@ -89,85 +307,48 @@ impl LuFactors {
         self.rowpos.resize(m, usize::MAX);
         self.colpos.clear();
         self.colpos.resize(m, usize::MAX);
+        // `L` columns are staged in place, indexed by original row until
+        // every row has its pivot step.
+        self.l_ptr.clear();
+        self.l_ptr.push(0);
+        self.l_idx.clear();
+        self.l_val.clear();
+        self.u_diag.clear();
         if m == 0 {
-            self.l_ptr = vec![0];
-            self.u_ptr = vec![0];
-            self.l_idx.clear();
-            self.l_val.clear();
+            self.u_ptr.clear();
+            self.u_ptr.push(0);
             self.u_idx.clear();
             self.u_val.clear();
-            self.u_diag.clear();
             return true;
         }
         let tol = markowitz_tol.clamp(1e-4, 1.0);
-
-        // Active submatrix, row-major with sorted column entries. The row
-        // invariant — only active columns appear — keeps the nonzero counts
-        // exact without a cleanup sweep.
-        let mut rows: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
-        // Per-column candidate row lists, validated lazily against
-        // `row_active` (rows are never edited out on deactivation).
-        let mut colrows: Vec<Vec<usize>> = vec![Vec::new(); m];
-        for (c, &j) in basis.iter().enumerate() {
-            let (ridx, vals) = cols.column(j);
-            for (&r, &v) in ridx.iter().zip(vals) {
-                rows[r].push((c, v));
-                colrows[c].push(r);
-            }
-        }
-        let mut rcount: Vec<usize> = rows.iter().map(Vec::len).collect();
-        let mut ccount: Vec<usize> = colrows.iter().map(Vec::len).collect();
-        let mut row_active = vec![true; m];
-        let mut col_active = vec![true; m];
-
-        // Per-step output staging in elimination order; permuted into the
-        // final column-compressed triangles afterwards.
-        let mut l_stage: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
-        let mut u_stage: Vec<Vec<(usize, f64)>> = Vec::with_capacity(m);
-        self.u_diag.clear();
-        let mut merge_tmp: Vec<(usize, f64)> = Vec::new();
-        let mut cand_cols: Vec<usize> = Vec::with_capacity(MARKOWITZ_CANDIDATES);
+        self.work.load(cols, basis);
+        let LuWorkspace {
+            rows,
+            colrows,
+            row_active,
+            buckets,
+            prow,
+            merge,
+            cand,
+            u_start,
+            u_col,
+            u_val,
+            u_next,
+        } = &mut self.work;
 
         for _step in 0..m {
             // The sparsest few active columns are the Markowitz candidates.
-            cand_cols.clear();
-            for j in 0..m {
-                if !col_active[j] {
-                    continue;
-                }
-                let pos = cand_cols
-                    .iter()
-                    .position(|&c| ccount[j] < ccount[c])
-                    .unwrap_or(cand_cols.len());
-                if pos < MARKOWITZ_CANDIDATES {
-                    if cand_cols.len() == MARKOWITZ_CANDIDATES {
-                        cand_cols.pop();
-                    }
-                    cand_cols.insert(pos, j);
-                }
-            }
-            let mut pivot = Self::pick_pivot(
-                &cand_cols,
-                &mut colrows,
-                &rows,
-                &row_active,
-                &rcount,
-                &ccount,
-                tol,
-            );
-            if pivot.is_none() && cand_cols.len() == MARKOWITZ_CANDIDATES {
+            buckets.smallest(MARKOWITZ_CANDIDATES, cand);
+            let mut pivot =
+                Self::pick_pivot(cand, colrows, rows, row_active, &buckets.count, tol, merge);
+            if pivot.is_none() && cand.len() == MARKOWITZ_CANDIDATES {
                 // The sparse candidates were all numerically inadmissible;
                 // widen to every active column before declaring singularity.
-                let all: Vec<usize> = (0..m).filter(|&j| col_active[j]).collect();
-                pivot = Self::pick_pivot(
-                    &all,
-                    &mut colrows,
-                    &rows,
-                    &row_active,
-                    &rcount,
-                    &ccount,
-                    tol,
-                );
+                cand.clear();
+                cand.extend((0..m).filter(|&j| buckets.active[j]));
+                pivot =
+                    Self::pick_pivot(cand, colrows, rows, row_active, &buckets.count, tol, merge);
             }
             let Some((pi, pj, pv)) = pivot else {
                 return false;
@@ -175,11 +356,13 @@ impl LuFactors {
 
             // Retire the pivot row and column.
             row_active[pi] = false;
-            col_active[pj] = false;
-            let prow = std::mem::take(&mut rows[pi]);
-            for &(j, _) in &prow {
-                if col_active[j] {
-                    ccount[j] -= 1;
+            buckets.remove(pj);
+            prow.clear();
+            prow.extend_from_slice(&rows[pi]);
+            rows[pi].clear();
+            for &(j, _) in prow.iter() {
+                if buckets.active[j] {
+                    buckets.set_count(j, buckets.count[j] - 1);
                 }
             }
             let k = self.rowperm.len();
@@ -190,9 +373,8 @@ impl LuFactors {
             self.u_diag.push(pv);
 
             // Eliminate the remaining rows of the pivot column.
-            let mut l_col: Vec<(usize, f64)> = Vec::new();
-            let targets = std::mem::take(&mut colrows[pj]);
-            for r in targets {
+            for t in 0..colrows[pj].len() {
+                let r = colrows[pj][t];
                 if !row_active[r] {
                     continue;
                 }
@@ -200,9 +382,10 @@ impl LuFactors {
                     continue; // cancelled earlier; lazily dropped here
                 };
                 let f = rows[r][pos].1 / pv;
-                l_col.push((r, f));
+                self.l_idx.push(r);
+                self.l_val.push(f);
                 // rows[r] ← rows[r] − f · prow, dropping the pivot column.
-                merge_tmp.clear();
+                merge.clear();
                 let mut a = rows[r].iter().copied().peekable();
                 let mut b = prow.iter().copied().filter(|&(c, _)| c != pj).peekable();
                 loop {
@@ -210,21 +393,21 @@ impl LuFactors {
                         (Some((ca, va)), Some((cb, vb))) => {
                             if ca < cb {
                                 if ca != pj {
-                                    merge_tmp.push((ca, va));
+                                    merge.push((ca, va));
                                 }
                                 a.next();
                             } else if cb < ca {
                                 // Fill-in.
-                                merge_tmp.push((cb, -f * vb));
-                                ccount[cb] += 1;
+                                merge.push((cb, -f * vb));
+                                buckets.set_count(cb, buckets.count[cb] + 1);
                                 colrows[cb].push(r);
                                 b.next();
                             } else {
                                 let v = va - f * vb;
                                 if v != 0.0 {
-                                    merge_tmp.push((ca, v));
+                                    merge.push((ca, v));
                                 } else {
-                                    ccount[ca] -= 1;
+                                    buckets.set_count(ca, buckets.count[ca] - 1);
                                 }
                                 a.next();
                                 b.next();
@@ -232,67 +415,74 @@ impl LuFactors {
                         }
                         (Some((ca, va)), None) => {
                             if ca != pj {
-                                merge_tmp.push((ca, va));
+                                merge.push((ca, va));
                             }
                             a.next();
                         }
                         (None, Some((cb, vb))) => {
-                            merge_tmp.push((cb, -f * vb));
-                            ccount[cb] += 1;
+                            merge.push((cb, -f * vb));
+                            buckets.set_count(cb, buckets.count[cb] + 1);
                             colrows[cb].push(r);
                             b.next();
                         }
                         (None, None) => break,
                     }
                 }
-                std::mem::swap(&mut rows[r], &mut merge_tmp);
-                rcount[r] = rows[r].len();
+                rows[r].clear();
+                rows[r].extend_from_slice(merge);
             }
-            l_stage.push(l_col);
+            self.l_ptr.push(self.l_idx.len());
 
             // The retired pivot row is row `k` of `U` (active columns only —
             // every inactive column was merged out when it was eliminated).
-            let urow: Vec<(usize, f64)> = prow.into_iter().filter(|&(c, _)| c != pj).collect();
-            u_stage.push(urow);
+            for &(c, v) in prow.iter() {
+                if c != pj {
+                    u_col.push(c);
+                    u_val.push(v);
+                }
+            }
+            u_start.push(u_col.len());
         }
 
-        // Compress the staged triangles into pivot-order CSC.
-        self.l_ptr.clear();
-        self.l_ptr.push(0);
-        self.l_idx.clear();
-        self.l_val.clear();
-        let mut l_cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
-        for (k, col) in l_stage.into_iter().enumerate() {
-            let mut mapped: Vec<(usize, f64)> =
-                col.into_iter().map(|(r, f)| (self.rowpos[r], f)).collect();
-            mapped.sort_unstable_by_key(|&(i, _)| i);
-            l_cols[k] = mapped;
-        }
-        for col in &l_cols {
-            for &(i, v) in col {
-                self.l_idx.push(i);
-                self.l_val.push(v);
-            }
-            self.l_ptr.push(self.l_idx.len());
-        }
-        // U rows arrive in elimination (= pivot-row) order, so pushing them
-        // column-by-column yields sorted columns for free.
-        let mut u_cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); m];
-        for (k, row) in u_stage.into_iter().enumerate() {
-            for (c, v) in row {
-                u_cols[self.colpos[c]].push((k, v));
+        // Map the staged `L` rows to pivot steps and sort each column.
+        for k in 0..m {
+            let (s, e) = (self.l_ptr[k], self.l_ptr[k + 1]);
+            merge.clear();
+            merge.extend(
+                self.l_idx[s..e]
+                    .iter()
+                    .zip(&self.l_val[s..e])
+                    .map(|(&r, &v)| (self.rowpos[r], v)),
+            );
+            merge.sort_unstable_by_key(|&(i, _)| i);
+            for (o, &(i, v)) in merge.iter().enumerate() {
+                self.l_idx[s + o] = i;
+                self.l_val[s + o] = v;
             }
         }
+        // Transpose the `U` rows into pivot-order columns. Rows arrive in
+        // elimination (= pivot-row) order, so every column comes out sorted.
         self.u_ptr.clear();
-        self.u_ptr.push(0);
+        self.u_ptr.resize(m + 1, 0);
+        for &c in u_col.iter() {
+            self.u_ptr[self.colpos[c] + 1] += 1;
+        }
+        for q in 0..m {
+            self.u_ptr[q + 1] += self.u_ptr[q];
+        }
         self.u_idx.clear();
+        self.u_idx.resize(u_col.len(), 0);
         self.u_val.clear();
-        for col in &u_cols {
-            for &(i, v) in col {
-                self.u_idx.push(i);
-                self.u_val.push(v);
+        self.u_val.resize(u_col.len(), 0.0);
+        u_next.clear();
+        u_next.extend_from_slice(&self.u_ptr[..m]);
+        for k in 0..m {
+            for t in u_start[k]..u_start[k + 1] {
+                let q = self.colpos[u_col[t]];
+                self.u_idx[u_next[q]] = k;
+                self.u_val[u_next[q]] = u_val[t];
+                u_next[q] += 1;
             }
-            self.u_ptr.push(self.u_idx.len());
         }
 
         let mut dmax = 0.0f64;
@@ -312,39 +502,38 @@ impl LuFactors {
 
     /// Markowitz selection over `cand_cols`: the admissible entry minimizing
     /// `(r_i − 1)(c_j − 1)`, tie-broken toward larger magnitude, then lower
-    /// indices (deterministic). Compacts stale `colrows` entries in passing.
-    #[allow(clippy::too_many_arguments)]
+    /// indices (deterministic). Compacts stale `colrows` entries in passing;
+    /// `entries` is scratch for one candidate column's live `(row, value)`.
     fn pick_pivot(
         cand_cols: &[usize],
         colrows: &mut [Vec<usize>],
         rows: &[Vec<(usize, f64)>],
         row_active: &[bool],
-        rcount: &[usize],
         ccount: &[usize],
         tol: f64,
+        entries: &mut Vec<(usize, f64)>,
     ) -> Option<(usize, usize, f64)> {
         let mut best: Option<(usize, usize, f64, usize, f64)> = None; // (i, j, v, score, |v|)
         for &j in cand_cols {
             colrows[j].retain(|&r| row_active[r]);
+            entries.clear();
             let mut colmax = 0.0f64;
             for &r in &colrows[j] {
                 if let Ok(pos) = rows[r].binary_search_by_key(&j, |&(c, _)| c) {
-                    colmax = colmax.max(rows[r][pos].1.abs());
+                    let v = rows[r][pos].1;
+                    colmax = colmax.max(v.abs());
+                    entries.push((r, v));
                 }
             }
             if colmax < ABS_PIVOT_MIN {
                 continue;
             }
             let cutoff = (tol * colmax).max(ABS_PIVOT_MIN);
-            for &r in &colrows[j] {
-                let Ok(pos) = rows[r].binary_search_by_key(&j, |&(c, _)| c) else {
-                    continue;
-                };
-                let v = rows[r][pos].1;
+            for &(r, v) in entries.iter() {
                 if v.abs() < cutoff {
                     continue;
                 }
-                let score = (rcount[r] - 1) * (ccount[j] - 1);
+                let score = (rows[r].len() - 1) * (ccount[j] - 1);
                 let better = match best {
                     None => true,
                     Some((bi, bj, _, bscore, babs)) => {
@@ -470,6 +659,7 @@ impl LuFactors {
             + self.u_idx.capacity())
             * u
             + (self.l_val.capacity() + self.u_val.capacity() + self.u_diag.capacity()) * f
+            + self.work.memory_bytes()
     }
 }
 
@@ -778,6 +968,139 @@ mod tests {
         assert!(f.factorize(&cols, &basis, 0.1));
         let ratio = f.u_diag_ratio();
         assert!(ratio > 1e5 && ratio < 1e8, "ratio {ratio}");
+    }
+
+    /// The old candidate search, kept as the oracle: one pass over every
+    /// column, insertion-sorting the active ones by `(count, index)`.
+    fn naive_smallest(b: &CountBuckets, k: usize) -> Vec<usize> {
+        let mut out: Vec<usize> = Vec::new();
+        for j in 0..b.count.len() {
+            if !b.active[j] {
+                continue;
+            }
+            let pos = out
+                .iter()
+                .position(|&c| b.count[j] < b.count[c])
+                .unwrap_or(out.len());
+            if pos < k {
+                if out.len() == k {
+                    out.pop();
+                }
+                out.insert(pos, j);
+            }
+        }
+        out
+    }
+
+    fn assert_same_candidates(b: &mut CountBuckets, what: &str) {
+        let want = naive_smallest(b, MARKOWITZ_CANDIDATES);
+        let mut got = Vec::new();
+        b.smallest(MARKOWITZ_CANDIDATES, &mut got);
+        assert_eq!(got, want, "{what}");
+    }
+
+    #[test]
+    fn count_buckets_match_the_naive_scan() {
+        let mut state = 0x5eed_u64;
+        let mut next = move |n: usize| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        let mut b = CountBuckets::default();
+        for m in [1, 3, 63, 64, 65, 200] {
+            b.reset(m);
+            // Counts straddle the overflow bucket so its (count, index)
+            // insertion path runs too; the narrow low range makes ties.
+            let count = |next: &mut dyn FnMut(usize) -> usize| {
+                if next(4) == 0 {
+                    COUNT_BUCKETS - 2 + next(5)
+                } else {
+                    next(4)
+                }
+            };
+            for step in 0..20 * m {
+                let j = next(m);
+                if !b.active[j] {
+                    let c = count(&mut next);
+                    b.insert(j, c);
+                } else if next(3) == 0 {
+                    b.remove(j);
+                } else {
+                    let c = count(&mut next);
+                    b.set_count(j, c);
+                }
+                assert_same_candidates(&mut b, &format!("m={m} step={step}"));
+            }
+        }
+
+        // All counts equal (including all in the overflow bucket), drained
+        // one column at a time down through the tail of fewer than four.
+        for c in [1, COUNT_BUCKETS + 5] {
+            let m = 70;
+            b.reset(m);
+            for j in 0..m {
+                b.insert(j, c);
+            }
+            assert_same_candidates(&mut b, "all equal");
+            for _ in 0..m {
+                let live: Vec<usize> = (0..m).filter(|&j| b.active[j]).collect();
+                b.remove(live[next(live.len())]);
+                assert_same_candidates(&mut b, &format!("{} left", live.len() - 1));
+            }
+            let mut got = vec![7];
+            b.smallest(MARKOWITZ_CANDIDATES, &mut got);
+            assert!(got.is_empty());
+        }
+    }
+
+    #[test]
+    fn tie_heavy_basis_pins_the_pivot_order() {
+        // Unit entries only, so every choice below is a tie broken by
+        // score, then (row, column). Step 0's candidates are columns
+        // 1, 3, 0, 4 (column 2 has three nonzeros): the score-0 entries are
+        // (2,1), (4,3), (1,4) and the pivot is (1,4), although column 2's
+        // entry (0,2) also scores 0 and would win on index. Eliminating
+        // column 4 leaves row 3 a singleton; step 1 admits column 2 and
+        // picks (0,2), then (2,1), (3,0) and (4,3).
+        let (cols, basis) = basis_matrix(&[
+            &[(3, 1.0), (4, 1.0)],
+            &[(2, 1.0)],
+            &[(0, 1.0), (2, 1.0), (4, 1.0)],
+            &[(4, 1.0)],
+            &[(1, 1.0), (3, 1.0)],
+        ]);
+        let mut lu = LuFactors::default();
+        assert!(lu.factorize(&cols, &basis, 0.1));
+        assert_eq!(lu.rowperm, [1, 0, 2, 3, 4]);
+        assert_eq!(lu.colperm, [4, 2, 1, 0, 3]);
+        assert_eq!(lu.u_diag, [1.0; 5]);
+    }
+
+    #[test]
+    fn refactorizing_reuses_the_workspace() {
+        // A second factorization of a different basis through the same
+        // factors must match a fresh factors object bit for bit.
+        let (a, ab) = basis_matrix(&[
+            &[(0, 2.0), (2, 1.0)],
+            &[(0, 1.0), (1, 3.0)],
+            &[(1, 1.0), (2, 4.0)],
+        ]);
+        let (b, bb) = basis_matrix(&[&[(1, 1.0)], &[(0, 5.0), (1, -1.0)]]);
+        let mut reused = LuFactors::default();
+        assert!(reused.factorize(&a, &ab, 0.1));
+        assert!(reused.factorize(&b, &bb, 0.1));
+        let mut fresh = LuFactors::default();
+        assert!(fresh.factorize(&b, &bb, 0.1));
+        assert_eq!(reused.rowperm, fresh.rowperm);
+        assert_eq!(reused.colperm, fresh.colperm);
+        assert_eq!(reused.l_idx, fresh.l_idx);
+        assert_eq!(reused.l_val, fresh.l_val);
+        assert_eq!(reused.u_idx, fresh.u_idx);
+        assert_eq!(reused.u_val, fresh.u_val);
+        assert_eq!(reused.u_diag, fresh.u_diag);
     }
 
     #[test]

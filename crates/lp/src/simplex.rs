@@ -285,10 +285,12 @@ struct KernelClocks {
     ftran_calls: u64,
     btran_ns: u64,
     btran_calls: u64,
+    /// The bookkeeping [`Simplex::refactorize`] wraps around the
+    /// elimination (health and flight-recorder records); disjoint from
+    /// `factor_ns`.
     refactor_ns: u64,
     refactor_base: usize,
-    /// Sparse LU elimination proper (subset of `refactor_ns`, which also
-    /// covers the conditioning scan around it).
+    /// Sparse LU elimination proper.
     factor_ns: u64,
     factor_calls: u64,
     /// Devex weight maintenance (distinct from `pricing_ns`, which times the
@@ -620,12 +622,12 @@ impl Simplex {
         let ok = self
             .factor
             .factorize(&self.cols, &self.basis, self.params.markowitz_tol);
-        if let Some(t0) = t0 {
-            let dt = t0.elapsed().as_nanos() as u64;
-            self.kernels.factor_ns += dt;
+        let t1 = t0.map(|t0| {
+            let t1 = Instant::now();
+            self.kernels.factor_ns += (t1 - t0).as_nanos() as u64;
             self.kernels.factor_calls += 1;
-            self.kernels.refactor_ns += dt;
-        }
+            t1
+        });
         if ok {
             self.pivots_since_refactor = 0;
             self.stats.refactorizations += 1;
@@ -663,6 +665,9 @@ impl Simplex {
                         tvnep_telemetry::blackbox::HEALTH_UNSTABLE
                     }
                 });
+        }
+        if let Some(t1) = t1 {
+            self.kernels.refactor_ns += t1.elapsed().as_nanos() as u64;
         }
         ok
     }
